@@ -373,6 +373,23 @@ writeJobProfile(FILE *f, const sim::trace::Profiler &pf)
                  (unsigned long long)busTx, (unsigned long long)stall);
 }
 
+/** Peak resident set of this process in kB (VmHWM); 0 if unknown. */
+uint64_t
+peakRssKb()
+{
+    FILE *f = std::fopen("/proc/self/status", "r");
+    if (!f)
+        return 0;
+    char line[256];
+    unsigned long long kb = 0;
+    while (std::fgets(line, sizeof(line), f)) {
+        if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1)
+            break;
+    }
+    std::fclose(f);
+    return kb;
+}
+
 void
 writeJson(const std::string &path, bool smoke, unsigned jobs,
           uint32_t sim_threads, const ObsOptions &obs,
@@ -439,6 +456,16 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
             core::jobStatusName(r.status), r.attempts,
             jsonEscape(r.error).c_str(), r.ok() ? "true" : "false");
         if (r.ok() && r.exp) {
+            // Allocated chunks of the per-line tables, not host RSS:
+            // deterministic for a given configuration and seed.
+            const sim::MemorySystem &mem = r.exp->machine().memory();
+            std::fprintf(
+                f,
+                ", \"table_bytes\": {\"classifier\": %llu, "
+                "\"l2state\": %llu, \"sharers\": %llu}",
+                (unsigned long long)r.exp->classifier_().tableBytes(),
+                (unsigned long long)mem.l2stateBytes(),
+                (unsigned long long)mem.sharersBytes());
             if (const sim::trace::Metrics *mx =
                     r.exp->machine().metrics())
                 writeJobMetrics(f, *mx);
@@ -494,11 +521,12 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                  "  \"monitor_events_total\": %llu,\n"
                  "  \"events_per_second\": %.0f,\n"
                  "  \"simulation_seconds\": %.3f,\n"
-                 "  \"total_wall_seconds\": %.3f\n}\n",
+                 "  \"total_wall_seconds\": %.3f,\n"
+                 "  \"peak_rss_mb\": %.1f\n}\n",
                  (unsigned long long)monitorEvents,
                  simSeconds > 0 ? double(monitorEvents) / simSeconds
                                 : 0.0,
-                 simSeconds, totalWall);
+                 simSeconds, totalWall, peakRssKb() / 1024.0);
     std::fclose(f);
 }
 

@@ -17,7 +17,7 @@ CpuCaches::CpuCaches(CpuId id, const MachineConfig &cfg)
           cfg.lineBytes),
       l2d("l2d" + std::to_string(id), cfg.l2dBytes, cfg.l2dAssoc,
           cfg.lineBytes),
-      l2state(cfg.numLines(), Coh::Invalid),
+      l2state(cfg.numLines()),
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       memBytes(cfg.memBytes)
 {
@@ -37,7 +37,7 @@ CpuCaches::rangePanic(Addr line) const
 
 MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
     : cfg(validateConfig(config)), mon(monitor),
-      sharers(cfg.numLines(), 0),
+      sharers(cfg.numLines()),
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       lineMask(~Addr(cfg.lineBytes - 1)),
       lineExecCycles(Cycle(cfg.instrPerLine) * cfg.cyclesPerInstr),
@@ -46,6 +46,15 @@ MemorySystem::MemorySystem(const MachineConfig &config, Monitor &monitor)
     hier.reserve(cfg.numCpus);
     for (CpuId c = 0; c < cfg.numCpus; ++c)
         hier.emplace_back(c, cfg);
+}
+
+uint64_t
+MemorySystem::l2stateBytes() const
+{
+    uint64_t n = 0;
+    for (const CpuCaches &h : hier)
+        n += h.l2state.bytes();
+    return n;
 }
 
 void
@@ -103,7 +112,7 @@ MemorySystem::snoopRead(CpuId requester, Addr line)
     // reference mode always walks everything to double-check the
     // filter.
     if (!slowSim) {
-        uint64_t m = sharers[line >> lineShift] &
+        uint64_t m = sharers.get(line >> lineShift) &
                      ~(uint64_t(1) << requester);
         const bool shared = m != 0;
         // The parallel probe cuts every window before a miss with
@@ -141,7 +150,7 @@ void
 MemorySystem::snoopInvalidate(CpuId requester, Addr line)
 {
     if (!slowSim) {
-        uint64_t m = sharers[line >> lineShift] &
+        uint64_t m = sharers.get(line >> lineShift) &
                      ~(uint64_t(1) << requester);
         // See snoopRead: stores with remote sharers cut the window.
         if (winCap && m)
@@ -366,12 +375,11 @@ MemorySystem::saveState(util::ByteWriter &w) const
         h.icache.saveState(w);
         h.l1d.saveState(w);
         h.l2d.saveState(w);
-        w.u64(uint64_t(h.l2state.size()));
-        w.raw(h.l2state.data(), h.l2state.size());
+        w.u64(h.l2state.size());
+        h.l2state.save(w);
     }
-    w.u64(uint64_t(sharers.size()));
-    for (uint64_t m : sharers)
-        w.u64(m);
+    w.u64(sharers.size());
+    sharers.save(w);
     w.u64(busBusyUntil);
     w.u64(txTotal);
 }
@@ -392,9 +400,9 @@ MemorySystem::restoreState(util::ByteReader &r)
         if (ns != h.l2state.size())
             util::raise(util::ErrCode::SnapshotCorrupt,
                         "memsys: l2state size %llu vs %zu",
-                        (unsigned long long)ns, h.l2state.size());
-        r.raw(h.l2state.data(), h.l2state.size());
-        for (Coh s : h.l2state) {
+                        (unsigned long long)ns, size_t(h.l2state.size()));
+        h.l2state.restore(r);
+        h.l2state.forEachNonZero([&](uint64_t, Coh s) {
             if (uint8_t(s) > uint8_t(Coh::Modified))
                 util::raise(util::ErrCode::SnapshotCorrupt,
                             "memsys: invalid coherence state byte %u",
@@ -408,15 +416,26 @@ MemorySystem::restoreState(util::ByteReader &r)
                             "memsys: state %u illegal under protocol "
                             "%s", unsigned(s),
                             protocolName(cfg.protocol));
-        }
+        });
+        // The inline L1 write-hit path reads an L1 line's state with
+        // no range or chunk test, relying on inclusion: every line in
+        // the L1 has a non-Invalid L2 state.
+        h.l1d.forEachResident([&](Addr line, bool) {
+            const uint64_t idx = line >> lineShift;
+            if (idx >= h.l2state.size() ||
+                h.l2state.get(idx) == Coh::Invalid)
+                util::raise(util::ErrCode::SnapshotCorrupt,
+                            "memsys: cpu %u L1 line %llx has no L2 "
+                            "coherence state",
+                            h.cpu, (unsigned long long)line);
+        });
     }
     const uint64_t nf = r.u64();
     if (nf != sharers.size())
         util::raise(util::ErrCode::SnapshotCorrupt,
                     "memsys: snoop filter size %llu vs %zu",
-                    (unsigned long long)nf, sharers.size());
-    for (uint64_t &m : sharers)
-        m = r.u64();
+                    (unsigned long long)nf, size_t(sharers.size()));
+    sharers.restore(r);
     busBusyUntil = r.u64();
     txTotal = r.u64();
 }

@@ -27,6 +27,7 @@
 #include "sim/types.hh"
 #include "util/arena.hh"
 #include "util/binio.hh"
+#include "util/line_table.hh"
 
 namespace mpos::sim
 {
@@ -80,8 +81,9 @@ struct CpuCaches
     Cache icache;
     Cache l1d;
     Cache l2d;
-    /** Coherence state per resident L2 line, indexed by line. */
-    std::vector<Coh> l2state;
+    /** Coherence state per line, indexed by line; Invalid (absent)
+     *  for every line this L2 never held. */
+    util::LineTable<Coh> l2state;
 
     Coh
     getState(Addr line) const
@@ -89,7 +91,7 @@ struct CpuCaches
         const uint64_t idx = line >> lineShift;
         if (idx >= l2state.size())
             rangePanic(line);
-        return l2state[idx];
+        return l2state.get(idx);
     }
 
     void
@@ -98,7 +100,7 @@ struct CpuCaches
         const uint64_t idx = line >> lineShift;
         if (idx >= l2state.size())
             rangePanic(line);
-        l2state[idx] = s;
+        l2state.set(idx, s);
     }
 
   private:
@@ -140,13 +142,15 @@ class MemorySystem
             if (!is_write)
                 return {1, false};
             // An L1 hit implies the line is resident in the inclusive
-            // L2, hence in range: skip getState's bounds check.
-            const Coh st = h.l2state[line >> lineShift];
+            // L2, so its state is non-Invalid: in range, and its
+            // chunk exists. Skip getState's bounds and chunk checks.
+            Coh &st = h.l2state.resident(line >> lineShift);
             if (st != Coh::Shared) {
                 // Silent E -> M upgrade; M stays M. Shared needs the
-                // bus and falls through to the slow path.
+                // bus and falls through to the slow path. The sharers
+                // bit is already set: the line was Exclusive here.
                 if (st != Coh::Modified) {
-                    setCohState(h, line, Coh::Modified);
+                    st = Coh::Modified;
                     if (checker)
                         checkLineEvent(line);
                 }
@@ -195,13 +199,31 @@ class MemorySystem
     /**
      * Snoop-filter bitmask of CPUs whose L2 holds the line in a
      * non-Invalid state (bit c = CPU c). Maintained alongside the
-     * per-CPU l2state arrays so bus transactions on unshared lines
+     * per-CPU l2state tables so bus transactions on unshared lines
      * skip the snoop walk entirely.
      */
     uint64_t sharersMask(Addr line) const
     {
-        return sharers[line >> lineShift];
+        return sharers.get(line >> lineShift);
     }
+
+    /**
+     * True if the snoop filter already holds a chunk for the line, so
+     * filling it allocates nothing. The parallel core's windows fill
+     * only such lines: a chunk allocation writes the directory that
+     * every worker thread reads.
+     */
+    bool
+    sharersAllocated(Addr line) const
+    {
+        return sharers.allocated(line >> lineShift);
+    }
+
+    /** Bytes of allocated l2state chunks, summed over all CPUs. */
+    uint64_t l2stateBytes() const;
+
+    /** Bytes of allocated snoop-filter chunks. */
+    uint64_t sharersBytes() const { return sharers.bytes(); }
 
     const MachineConfig &config() const { return cfg; }
 
@@ -239,9 +261,10 @@ class MemorySystem
     }
 
     /// @name Snapshot save/restore
-    /// Every cache's packed tags, the per-CPU MESI arrays, the snoop
-    /// filter, bus occupancy horizon and transaction counter; all
-    /// geometry is reconstructed from config and validated.
+    /// Every cache's packed tags, the per-CPU coherence states, the
+    /// snoop filter, bus occupancy horizon and transaction counter;
+    /// all geometry is reconstructed from config and validated. The
+    /// per-line tables are written densely (see util::LineTable).
     /// @{
     void saveState(util::ByteWriter &w) const;
     void restoreState(util::ByteReader &r);
@@ -282,10 +305,11 @@ class MemorySystem
     {
         h.setState(line, st);
         const uint64_t idx = line >> lineShift;
+        const uint64_t bit = uint64_t(1) << h.cpu;
         if (st == Coh::Invalid)
-            sharers[idx] &= ~(uint64_t(1) << h.cpu);
+            sharers.set(idx, sharers.get(idx) & ~bit);
         else
-            sharers[idx] |= uint64_t(1) << h.cpu;
+            sharers.ref(idx) |= bit;
     }
 
     MachineConfig cfg;
@@ -295,7 +319,7 @@ class MemorySystem
      *  path in the simulator. */
     std::vector<CpuCaches> hier;
     /** Per-line snoop filter: bit c set iff CPU c holds the line. */
-    std::vector<uint64_t> sharers;
+    util::LineTable<uint64_t> sharers;
     /** log2(lineBytes). */
     uint32_t lineShift = 0;
     /** ~(lineBytes - 1): address -> line address. */

@@ -131,7 +131,7 @@ ParallelCore::probeCpu(CpuId cpu, Worker &w, ProbeResult &out)
         ++foot;
     };
     /** Every line the probed fill could displace from the L2 set: its
-     *  sharers byte is cleared on eviction, so it is a potential
+     *  sharers bit is cleared on eviction, so it is a potential
      *  write. Lines filled earlier in the window (the other possible
      *  victims) are already in the write set. */
     const auto addVictims = [&](Addr line) {
@@ -154,7 +154,7 @@ ParallelCore::probeCpu(CpuId cpu, Worker &w, ProbeResult &out)
             // An earlier probed fill may have changed what this
             // reference hits. Duration: hit lower bound. Side
             // effects: everything a miss could do.
-            if (remote)
+            if (remote || !mem.sharersAllocated(line))
                 return false;
             addWrite(line);
             addVictims(line);
@@ -168,7 +168,8 @@ ParallelCore::probeCpu(CpuId cpu, Worker &w, ProbeResult &out)
         const bool l2hit = l1hit || h.l2d.contains(line);
         if (!l2hit) {
             // Fill: reads the sharers mask, sets our bit, may evict.
-            if (remote)
+            // A fill that would allocate a snoop-filter chunk cuts.
+            if (remote || !mem.sharersAllocated(line))
                 return false;
             addFoot(line);
             addWrite(line);
@@ -387,10 +388,11 @@ ParallelCore::tryWindow(Cycle target)
     }
 
     // Ordered conflict rule: a window is only safe if no CPU writes a
-    // line's shared metadata (sharers byte, coherence state) that any
+    // line's shared metadata (sharers mask, coherence state) that any
     // other CPU reads or writes. Concurrent read-hits on a line are
-    // fine; the E->M "silent" upgrade is not silent to the sharers
-    // byte, which is why every store line is in its write set.
+    // fine; a store hit writes the line's state (and an L2-hit store
+    // rewrites its sharers mask), which is why every store line is in
+    // its write set.
     accessMap.clear();
     for (CpuId c = 0; c < uint32_t(m.cpus.size()); ++c) {
         const uint64_t bit = uint64_t(1) << c;

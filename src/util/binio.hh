@@ -168,6 +168,10 @@ class ByteReader
     raw(void *out, size_t n)
     {
         need(n);
+        // memcpy's pointers must be valid even for n == 0, and an
+        // empty array's data() or an empty buffer's cursor may be null.
+        if (n == 0)
+            return;
         std::memcpy(out, p, n);
         p += n;
     }

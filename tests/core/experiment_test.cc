@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include "core/experiment.hh"
 #include "core/migration.hh"
 
@@ -210,4 +212,30 @@ TEST(Experiment, TimeAccountingIsConserved)
     // All four CPUs accounted for every measured cycle (within the
     // slack of in-flight items at the boundary).
     EXPECT_NEAR(total, double(e->elapsed()) * 4, total * 0.01);
+}
+
+TEST(Experiment, WideMachineConstructionHeapIsBounded)
+{
+    // 64 CPUs over 64 MB of 16-byte lines: per-line state held densely
+    // (two classifier words and an L2 state byte per CPU, plus a
+    // snoop-filter word) would add over 2 GB here. Untouched lines
+    // must cost nothing beyond the chunk directories.
+    ExperimentConfig cfg;
+    cfg.kind = WorkloadKind::Pmake;
+    cfg.machine.numCpus = 64;
+    cfg.machine.memBytes = 64ULL * 1024 * 1024;
+    cfg.options = workload::scaledOptions(cfg.options, 64);
+    cfg.kernelCfg.layout.maxProcs = 256;
+
+    const auto heapInUse = [] {
+        const struct mallinfo2 mi = mallinfo2();
+        return uint64_t(mi.uordblks) + uint64_t(mi.hblkhd);
+    };
+    const uint64_t before = heapInUse();
+    Experiment e(cfg);
+    const uint64_t added = heapInUse() - before;
+    EXPECT_LT(added, 64ULL * 1024 * 1024);
+    EXPECT_EQ(e.classifier_().tableBytes(), 0u);
+    EXPECT_EQ(e.machine().memory().l2stateBytes(), 0u);
+    EXPECT_EQ(e.machine().memory().sharersBytes(), 0u);
 }

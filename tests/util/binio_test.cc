@@ -49,6 +49,18 @@ TEST(BinIo, RoundTripEveryType)
     EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(BinIo, ZeroLengthRawFromAnEmptyBuffer)
+{
+    // Both pointers memcpy would see are null here; a zero-length
+    // read must not touch either.
+    const std::vector<uint8_t> empty;
+    ByteReader r(empty);
+    std::vector<uint8_t> out;
+    r.raw(out.data(), 0);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(r.offset(), 0u);
+}
+
 TEST(BinIo, LittleEndianOnTheWire)
 {
     ByteWriter w;
