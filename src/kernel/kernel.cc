@@ -451,20 +451,6 @@ Kernel::pollEvents(CpuId cpu, Cycle now)
     deliverGlobalEvent(cpu, now);
 }
 
-sim::Cycle
-Kernel::nextEventAt(CpuId cpu) const
-{
-    // pollEvents(cpu, t) is a complete no-op for every t below both
-    // the CPU's next clock tick and the earliest queued global event:
-    // it neither pops, pushes, nor touches any CPU. The parallel core
-    // caps its speculation windows here so skipping the poll inside a
-    // window is provably equivalent to making it.
-    const sim::Cycle clock = nextClockAt[cpu];
-    if (events.empty())
-        return clock;
-    return std::min(clock, events.top().when);
-}
-
 // ---------------------------------------------------------------------
 // Marker handlers
 // ---------------------------------------------------------------------

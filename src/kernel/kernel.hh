@@ -157,7 +157,6 @@ class Kernel : public sim::Executor
     void fault(CpuId cpu, Addr vaddr, bool is_store,
                bool is_prot) override;
     void pollEvents(CpuId cpu, Cycle now) override;
-    sim::Cycle nextEventAt(CpuId cpu) const override;
     /// @}
 
     /// @name Introspection for analysis and tests

@@ -234,10 +234,6 @@ class ScriptedExecutor : public Executor
 
     void pollEvents(CpuId, Cycle) override {}
 
-    /** pollEvents is a no-op forever, so speculative windows never
-     *  need to cut short for an external event. */
-    Cycle nextEventAt(CpuId) const override { return ~Cycle(0); }
-
   private:
     /** Lower lock-id half plays the RCU-managed read-mostly tables. */
     bool
@@ -457,11 +453,8 @@ FuzzOptions::machineConfig() const
     cfg.l2dBytes = 4096;
     cfg.memBytes = 1ULL * 1024 * 1024;
     cfg.tlbEntries = 16;
-    // Bus queueing is exercised in both serial cores; a parallel
-    // sweep instead levels the field, since speculative windows
-    // require an inert bus (the occupancy queue is the one shared
-    // write they would race on) and the runs must stay comparable.
-    cfg.busOccupancy = simThreads > 1 ? 0 : 2;
+    // Bus queueing is exercised in both cores.
+    cfg.busOccupancy = 2;
     cfg.check = true;
     return cfg;
 }
@@ -565,25 +558,15 @@ buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
 namespace
 {
 
-/** Which core one fuzz run exercises. */
-enum class RunMode { Fast, Slow, Parallel };
-
-/** One machine run; fills events/state/violations for comparison. */
+/** One machine run on the fast core, or on the reference core when
+ *  slow_sim; fills events/state/violations for comparison. */
 void
 runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
-       RunMode mode, std::vector<Event> &events, StateSnapshot &state,
+       bool slow_sim, std::vector<Event> &events, StateSnapshot &state,
        std::vector<std::string> &violations, uint64_t &checks)
 {
     MachineConfig cfg = opt.machineConfig();
-    cfg.slowSim = mode == RunMode::Slow;
-    if (mode == RunMode::Parallel) {
-        // A checker observes mid-window state and forces the serial
-        // fallback, so the parallel run drops it; the fast and slow
-        // runs keep theirs, so the same scripts are still invariant-
-        // checked in full.
-        cfg.check = false;
-        cfg.simThreads = opt.simThreads;
-    }
+    cfg.slowSim = slow_sim;
 
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
@@ -599,13 +582,9 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
     const std::vector<Addr> pool = buildPool(rng, opt, cfg);
 
     Machine m(cfg, opt.numLocks);
-    // Null only in parallel mode (unless MPOS_CHECK forces it back,
-    // which also forces the serial fallback -- still a valid run).
     Checker *chk = m.checker();
-    if (chk) {
-        chk->setAbortOnViolation(false);
-        chk->setMappingValidator(identityValidator);
-    }
+    chk->setAbortOnViolation(false);
+    chk->setMappingValidator(identityValidator);
 
     ScriptedExecutor exec(m);
     m.setExecutor(&exec);
@@ -624,11 +603,9 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
     // The same phase driver the experiment harness uses (no deadline
     // here), so fuzzed runs and measured runs slice identically.
     runPhase(m, opt.runCycles);
-    if (chk) {
-        chk->checkAll(m);
-        violations = chk->violations();
-        checks = chk->stats().total();
-    }
+    chk->checkAll(m);
+    violations = chk->violations();
+    checks = chk->stats().total();
 
     events = std::move(rec.events);
     state = capture(m, pool);
@@ -820,28 +797,22 @@ FuzzOutcome
 runDifferential(uint64_t seed, const FuzzOptions &opt,
                 uint32_t prefix_len)
 {
-    std::vector<Event> fastEv, slowEv, parEv;
-    StateSnapshot fastState, slowState, parState;
-    std::vector<std::string> fastViol, slowViol, parViol;
-    uint64_t fastChecks = 0, slowChecks = 0, parChecks = 0;
+    std::vector<Event> fastEv, slowEv;
+    StateSnapshot fastState, slowState;
+    std::vector<std::string> fastViol, slowViol;
+    uint64_t fastChecks = 0, slowChecks = 0;
 
-    runOne(seed, opt, prefix_len, RunMode::Fast, fastEv, fastState,
-           fastViol, fastChecks);
-    runOne(seed, opt, prefix_len, RunMode::Slow, slowEv, slowState,
-           slowViol, slowChecks);
-    const bool par = opt.simThreads > 1;
-    if (par)
-        runOne(seed, opt, prefix_len, RunMode::Parallel, parEv,
-               parState, parViol, parChecks);
+    runOne(seed, opt, prefix_len, false, fastEv, fastState, fastViol,
+           fastChecks);
+    runOne(seed, opt, prefix_len, true, slowEv, slowState, slowViol,
+           slowChecks);
 
     FuzzOutcome out;
-    out.eventsCompared = fastEv.size() + (par ? parEv.size() : 0);
-    out.checksPerformed = fastChecks + slowChecks + parChecks;
+    out.eventsCompared = fastEv.size();
+    out.checksPerformed = fastChecks + slowChecks;
     out.violations = fastViol;
     out.violations.insert(out.violations.end(), slowViol.begin(),
                           slowViol.end());
-    out.violations.insert(out.violations.end(), parViol.begin(),
-                          parViol.end());
 
     std::ostringstream detail;
     if (!out.violations.empty()) {
@@ -866,24 +837,6 @@ runDifferential(uint64_t seed, const FuzzOptions &opt,
         out.ok = false;
         detail << "final machine state differs between fast and "
                   "reference runs (identical event streams)";
-    } else if (par && parEv != fastEv) {
-        out.ok = false;
-        const size_t n = std::min(parEv.size(), fastEv.size());
-        size_t i = 0;
-        while (i < n && parEv[i] == fastEv[i])
-            ++i;
-        detail << "parallel-core event stream diverges from fast at "
-               << "index " << i << " (parallel " << parEv.size()
-               << " events, fast " << fastEv.size() << "): parallel="
-               << (i < parEv.size() ? describeEvent(parEv[i])
-                                    : std::string("<end>"))
-               << " fast="
-               << (i < fastEv.size() ? describeEvent(fastEv[i])
-                                     : std::string("<end>"));
-    } else if (par && !(parState == fastState)) {
-        out.ok = false;
-        detail << "final machine state differs between parallel and "
-                  "fast runs (identical event streams)";
     }
     out.detail = detail.str();
     return out;

@@ -272,10 +272,9 @@ class Executor
 
     /**
      * Earliest cycle at which pollEvents(cpu, t) could do anything
-     * for any t below the returned value. The parallel core caps its
-     * speculation windows here so every poll inside a window is a
-     * provable no-op. The conservative default (0) disables window
-     * speculation entirely for executors that do not implement it.
+     * for any t below the returned value; 0 claims nothing. No
+     * simulator code calls it: it stays only because the benchmark
+     * driver's timing decorator (perfbench/driver.cc) overrides it.
      */
     virtual Cycle nextEventAt(CpuId cpu) const
     {
